@@ -10,7 +10,7 @@ import repro.bench._
   */
 object JobUtil {
   def sparkSession(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -12,7 +12,7 @@ import repro.embed.VectorOps
   * within radius 2^(ℓ+1). (The separation invariant is not enforced — it
   * affects balance, not correctness of range search.)
   */
-final class CoverTree private (dim: Int) extends Serializable {
+final class CoverTree private extends Serializable {
 
   final class Node(val point: Array[Double], val colId: Int, var level: Int) extends Serializable {
     val children = mutable.ArrayBuffer.empty[Node]
@@ -29,7 +29,7 @@ final class CoverTree private (dim: Int) extends Serializable {
 
   def insert(p: Array[Double], colId: Int): Unit = {
     if (root == null) { root = new Node(p, colId, 1); return }
-    var dr = d(p, root.point)
+    val dr = d(p, root.point)
     while (dr > math.pow(2, root.level)) root.level += 1
     insertRec(root, p, colId)
   }
@@ -66,7 +66,7 @@ object CoverTree {
 
   def build(columns: Seq[ColumnVectors]): CoverTree = {
     require(columns.nonEmpty, "empty repository")
-    val t = new CoverTree(columns.head.vectors.head.length)
+    val t = new CoverTree
     columns.foreach(c => c.vectors.foreach(v => t.insert(v, c.colId)))
     t
   }
@@ -77,7 +77,6 @@ object CoverTree {
     */
   def search(
       tree: CoverTree,
-      columns: Seq[ColumnVectors],
       query: Array[Array[Double]],
       tau: Double,
       tFrac: Double,

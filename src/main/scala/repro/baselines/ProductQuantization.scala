@@ -57,7 +57,6 @@ object ProductQuantization {
       numSub: Int,
       k: Int,
       iterations: Int = 10,
-      seed: Long = 13L,
   ): ProductQuantization = {
     val all = columns.iterator.flatMap(c => c.vectors.iterator.map(v => (c.colId, v))).toArray
     require(all.nonEmpty, "empty repository")
@@ -67,7 +66,7 @@ object ProductQuantization {
 
     val codebooks = Array.tabulate(numSub) { s =>
       val pts = all.map(e => slice(e._2, s, subDim))
-      kmeans(pts, math.min(k, pts.length), iterations, seed + s)
+      kmeans(pts, math.min(k, pts.length), iterations)
     }
 
     val codes = all.map { case (col, v) =>
@@ -92,7 +91,7 @@ object ProductQuantization {
   }
 
   /** Plain Lloyd iterations with deterministic spaced initialization. */
-  private def kmeans(pts: Array[Array[Double]], k: Int, iters: Int, seed: Long): Array[Array[Double]] = {
+  private def kmeans(pts: Array[Array[Double]], k: Int, iters: Int): Array[Array[Double]] = {
     val step = math.max(1, pts.length / k)
     var centroids = Array.tabulate(k)(i => pts(math.min(pts.length - 1, i * step)).clone())
     var it = 0

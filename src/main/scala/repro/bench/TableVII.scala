@@ -29,7 +29,7 @@ object TableVII {
     for (t <- BenchConfig.TFracs; tp <- BenchConfig.TauPcts) yield (t, tp)
 
   /** Run one method over the grid under the budget; None = over budget. */
-  private def runMethod(name: String)(search: (Double, Double) => Long): Map[(Double, Double), Option[Long]] = {
+  private def runMethod(search: (Double, Double) => Long): Map[(Double, Double), Option[Long]] = {
     var spent = 0L
     grid.map { case (t, tp) =>
       if (spent > MethodBudgetNanos) (t, tp) -> None
@@ -56,13 +56,13 @@ object TableVII {
     def timeAll(f: (Array[Array[Double]], Double, Double) => Long)(tau: Double, t: Double): Long =
       embQs.map(q => f(q, tau, t)).sum
 
-    val ctreeT = runMethod("CTREE")(timeAll((q, tau, t) =>
-      CoverTree.search(ctree, embCols, q, tau, t).totalNanos))
-    val eptT = runMethod("EPT")(timeAll((q, tau, t) =>
+    val ctreeT = runMethod(timeAll((q, tau, t) =>
+      CoverTree.search(ctree, q, tau, t).totalNanos))
+    val eptT = runMethod(timeAll((q, tau, t) =>
       PivotTable.search(ept, q, tau, t).totalNanos))
-    val hT = runMethod("PEXESO-H")(timeAll((q, tau, t) =>
+    val hT = runMethod(timeAll((q, tau, t) =>
       index.search(q, tau, t, VerifyMode.PexesoH).totalNanos))
-    val pT = runMethod("PEXESO")(timeAll((q, tau, t) =>
+    val pT = runMethod(timeAll((q, tau, t) =>
       index.search(q, tau, t, VerifyMode.Pexeso).totalNanos))
 
     val rows = grid.map { case (t, tp) =>
@@ -77,7 +77,7 @@ object TableVII {
     val tau = BenchConfig.tauAbs(BenchConfig.DefaultTauPct)
     val t = BenchConfig.DefaultTFrac
     val d0 = ctree.distanceComputations
-    embQs.foreach(q => CoverTree.search(ctree, embCols, q, tau, t))
+    embQs.foreach(q => CoverTree.search(ctree, q, tau, t))
     val ctreeD = ctree.distanceComputations - d0
     val eptD = embQs.map(q => PivotTable.search(ept, q, tau, t).distanceComputations).sum
     val hD = embQs.map(q => index.search(q, tau, t, VerifyMode.PexesoH).distanceComputations).sum
@@ -119,7 +119,7 @@ object TableVII {
     // same protocol the PEXESO indexes follow (paper Section IV).
     val partList = parts.toSeq.sortBy(_._1)
     val ctreePaths = partList.map { case (p, cols) =>
-      val path = dir.resolve(s"ctree-$p.bin"); spillObj(CoverTree.build(cols), path); (path, cols)
+      val path = dir.resolve(s"ctree-$p.bin"); spillObj(CoverTree.build(cols), path); path
     }
     val eptPaths = partList.map { case (p, cols) =>
       val path = dir.resolve(s"ept-$p.bin"); spillObj(PivotTable.build(cols, 5), path); path
@@ -127,15 +127,15 @@ object TableVII {
 
     // every method loads each partition from disk once per grid cell and
     // runs the whole query workload against it before discarding it
-    val ctreeT = runMethod("CTREE") { (tau, t) =>
+    val ctreeT = runMethod { (tau, t) =>
       val t0 = System.nanoTime()
-      ctreePaths.foreach { case (path, cols) =>
+      ctreePaths.foreach { path =>
         val tree = loadObj[CoverTree](path)
-        embQs.foreach(q => CoverTree.search(tree, cols, q, tau, t))
+        embQs.foreach(q => CoverTree.search(tree, q, tau, t))
       }
       System.nanoTime() - t0
     }
-    val eptT = runMethod("EPT") { (tau, t) =>
+    val eptT = runMethod { (tau, t) =>
       val t0 = System.nanoTime()
       eptPaths.foreach { path =>
         val table = loadObj[PivotTable](path)
@@ -143,10 +143,10 @@ object TableVII {
       }
       System.nanoTime() - t0
     }
-    val hT = runMethod("PEXESO-H") { (tau, t) =>
+    val hT = runMethod { (tau, t) =>
       OutOfCore.searchBatch(spilled, embQs, tau, t, VerifyMode.PexesoH)._2
     }
-    val pT = runMethod("PEXESO") { (tau, t) =>
+    val pT = runMethod { (tau, t) =>
       OutOfCore.searchBatch(spilled, embQs, tau, t, VerifyMode.Pexeso)._2
     }
 

@@ -39,39 +39,32 @@ object Block {
       hgS: HierarchicalGrid,
       queryMapped: Array[Array[Double]],
       tau: Double,
-      quickBrowsing: Boolean = true,
   ): BlockResult = {
     require(hgQ.levels == hgS.levels, "HG_Q and HG_SV must share the level count")
     val res = BlockResult(mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty)
 
-    if (quickBrowsing) {
-      hgQ.leafCells.foreach { qLeaf =>
-        if (hgS.leaf(qLeaf.key).isDefined) {
-          qLeaf.payloads.foreach(q => res.candidates += ((q, qLeaf.key)))
-        }
+    hgQ.leafCells.foreach { qLeaf =>
+      if (hgS.leaf(qLeaf.key).isDefined) {
+        qLeaf.payloads.foreach(q => res.candidates += ((q, qLeaf.key)))
       }
     }
 
-    descend(hgQ.root, hgS.root, hgQ, hgS, queryMapped, tau, quickBrowsing, res)
+    descend(hgQ.root, hgS.root, queryMapped, tau, res)
     res
   }
 
   private def descend(
       cQ: HierarchicalGrid#GridNode,
       cS: HierarchicalGrid#GridNode,
-      hgQ: HierarchicalGrid,
-      hgS: HierarchicalGrid,
       queryMapped: Array[Array[Double]],
       tau: Double,
-      quickBrowsing: Boolean,
       res: BlockResult,
   ): Unit = {
     cQ.children.valuesIterator.foreach { cq =>
       cS.children.valuesIterator.foreach { cs =>
         if (cq.isLeaf && cs.isLeaf) {
-          // handled by quick browsing already?
-          val sameCell = java.util.Arrays.equals(cq.coords, cs.coords)
-          if (!(quickBrowsing && sameCell)) {
+          // identical leaf pairs were handled by quick browsing already
+          if (!java.util.Arrays.equals(cq.coords, cs.coords)) {
             cq.payloads.foreach { q =>
               val qm = queryMapped(q)
               if (GridGeometry.vectorCellMatched(cs, qm, tau))
@@ -87,7 +80,7 @@ object Block {
             qs.foreach(q => res.matching += ((q, key)))
           }
         } else if (!GridGeometry.cellCellFiltered(cs, cq, tau)) {
-          descend(cq, cs, hgQ, hgS, queryMapped, tau, quickBrowsing, res)
+          descend(cq, cs, queryMapped, tau, res)
         }
       }
     }

@@ -31,5 +31,4 @@ final case class SearchResult(
     matchingPairs: Long,
 ) {
   def totalNanos: Long = blockNanos + verifyNanos
-  def totalMillis: Double = totalNanos / 1e6
 }

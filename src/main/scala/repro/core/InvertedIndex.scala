@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.core.HierarchicalGrid.CellKey
 
@@ -20,27 +19,24 @@ final case class Posting(
   * Postings within a cell are sorted by column id — the DaaT
   * (document-at-a-time) order that lets verification process one column's
   * candidates together and apply the early-termination rules (joinability
-  * reached, or Lemma 7 says the column can no longer reach `T`).
+  * reached, or Lemma 7 says the column can no longer reach `T`). Each
+  * column's postings in a cell therefore form one contiguous run.
   */
 final class InvertedIndex private (
     val postings: Map[CellKey, Array[Posting]],
-    /** per cell: colId → [from, until) slice into the postings array */
-    val colRanges: Map[CellKey, Map[Int, (Int, Int)]],
 ) extends Serializable {
 
-  /** Distinct column ids with at least one vector in `cell`. */
-  def columnsIn(cell: CellKey): Iterable[Int] =
-    colRanges.getOrElse(cell, Map.empty).keys
+  /** Distinct column ids with at least one vector in `cell`, ascending:
+    * the first column id of each run of the column-sorted postings.
+    */
+  def columnsIn(cell: CellKey): Iterator[Int] = {
+    val posts = postingsIn(cell)
+    posts.indices.iterator
+      .filter(i => i == 0 || posts(i).colId != posts(i - 1).colId)
+      .map(posts(_).colId)
+  }
 
-  /** Postings of one column inside one cell (empty if absent). */
-  def postingsOf(cell: CellKey, colId: Int): ArraySeq[Posting] =
-    colRanges.get(cell).flatMap(_.get(colId)) match {
-      case Some((from, until)) =>
-        ArraySeq.unsafeWrapArray(java.util.Arrays.copyOfRange(postings(cell), from, until))
-      case None => ArraySeq.empty
-    }
-
-  /** All postings of a cell (any column). */
+  /** All postings of a cell (any column), sorted by column id. */
   def postingsIn(cell: CellKey): Array[Posting] =
     postings.getOrElse(cell, Array.empty)
 
@@ -51,23 +47,8 @@ final class InvertedIndex private (
 object InvertedIndex {
 
   /** Build from (leaf cell, posting) pairs accumulated during indexing. */
-  def build(entries: mutable.Map[CellKey, mutable.ArrayBuffer[Posting]]): InvertedIndex = {
-    val posts  = Map.newBuilder[CellKey, Array[Posting]]
-    val ranges = Map.newBuilder[CellKey, Map[Int, (Int, Int)]]
-    entries.foreach { case (cell, buf) =>
-      val sorted = buf.toArray.sortBy(_.colId)
-      posts += cell -> sorted
-      val r = Map.newBuilder[Int, (Int, Int)]
-      var i = 0
-      while (i < sorted.length) {
-        val col = sorted(i).colId
-        var j = i
-        while (j < sorted.length && sorted(j).colId == col) j += 1
-        r += col -> ((i, j))
-        i = j
-      }
-      ranges += cell -> r.result()
-    }
-    new InvertedIndex(posts.result(), ranges.result())
-  }
+  def build(entries: mutable.Map[CellKey, mutable.ArrayBuffer[Posting]]): InvertedIndex =
+    new InvertedIndex(entries.iterator.map { case (cell, buf) =>
+      cell -> buf.toArray.sortBy(_.colId)
+    }.toMap)
 }

@@ -34,7 +34,7 @@ final class PexesoIndex(
 
   /** Joinable column search (paper Algorithm 3).
     *
-    * @param query unit vectors of the query column Q
+    * @param query vectors of the query column Q, each of norm ≤ 1
     * @param tau   distance threshold (absolute, e.g. 0.06 * 2 for "6%")
     * @param tFrac joinability threshold T as a fraction of |Q|
     */
@@ -43,16 +43,16 @@ final class PexesoIndex(
       tau: Double,
       tFrac: Double,
       mode: VerifyMode = VerifyMode.Pexeso,
-      quickBrowsing: Boolean = true,
   ): SearchResult = {
     val tAbs = Verify.absThreshold(tFrac, query.length)
 
     val t0 = System.nanoTime()
     val queryMapped = pivots.mapAll(query)
+    queryMapped.foreach(PexesoIndex.requireInGrid(_, grid.extent))
     val hgQ = new HierarchicalGrid(numPivots, levels, grid.extent)
     var q = 0
     while (q < query.length) { hgQ.insert(queryMapped(q), q); q += 1 }
-    val block = Block.run(hgQ, grid, queryMapped, tau, quickBrowsing)
+    val block = Block.run(hgQ, grid, queryMapped, tau)
     val t1 = System.nanoTime()
 
     val (joinable, stats) = mode match {
@@ -76,36 +76,53 @@ final class PexesoIndex(
 
 object PexesoIndex {
 
+  /** Max vectors sampled for pivot selection. */
+  private val PivotSample = 2000
+
+  /** The grid's Lemma 3–6 geometry holds only inside `[0, extent]^|P|`:
+    * a coordinate past it would be clamped into the border cell and its
+    * matches could be filtered away. Distances between vectors of norm
+    * ≤ 1 are at most 2, inside `HierarchicalGrid.DefaultExtent`. A NaN or
+    * infinite coordinate fails the check too.
+    */
+  private def requireInGrid(mapped: Array[Double], extent: Double): Unit = {
+    var i = 0
+    while (i < mapped.length) {
+      val x = mapped(i)
+      require(x <= extent,
+        s"vector norm must be ≤ 1: pivot-mapped coordinate $x is outside the grid extent $extent")
+      i += 1
+    }
+  }
+
   /** Build a PEXESO index for a repository of columns.
     *
     * Pipeline (paper Section III-E): PCA-based pivot selection on a sample
     * (O(|S_V|)), pivot mapping of every vector (O(|P|·|S_V|)), hierarchical
     * grid + inverted index construction (O(m·|S_V| + D)).
     *
-    * @param columns     the repository
-    * @param numPivots   |P|
-    * @param levels      m
-    * @param pivotSample max vectors sampled for pivot selection
+    * @param columns   the repository; every vector of norm ≤ 1
+    * @param numPivots |P|
+    * @param levels    m
     */
   def build(
       columns: Seq[ColumnVectors],
       numPivots: Int,
       levels: Int,
-      pivotSample: Int = 2000,
-      extent: Double = HierarchicalGrid.DefaultExtent,
   ): PexesoIndex = {
     require(columns.nonEmpty, "empty repository")
     val t0 = System.nanoTime()
 
     val all: IndexedSeq[Array[Double]] =
       columns.iterator.flatMap(_.vectors).toIndexedSeq
-    val pivots = PivotSelection.pcaPivots(PivotSelection.sample(all, pivotSample), numPivots)
+    val pivots = PivotSelection.pcaPivots(PivotSelection.sample(all, PivotSample), numPivots)
 
-    val grid = new HierarchicalGrid(numPivots, levels, extent)
+    val grid = new HierarchicalGrid(numPivots, levels)
     val entries = mutable.HashMap.empty[CellKey, mutable.ArrayBuffer[Posting]]
     columns.foreach { col =>
       col.vectors.foreach { v =>
         val mapped = pivots.map(v)
+        requireInGrid(mapped, grid.extent)
         val leaf = grid.insert(mapped, -1)
         entries.getOrElseUpdate(leaf.key, mutable.ArrayBuffer.empty) +=
           Posting(col.colId, mapped, v)

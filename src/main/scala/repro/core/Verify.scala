@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 import repro.embed.VectorOps
-import repro.core.HierarchicalGrid.CellKey
 
 /** Verification (paper Algorithm 2).
   *
@@ -30,6 +29,28 @@ object Verify {
     var distanceComputations: Long = 0L
   }
 
+  /** The match map: distinct matched query vectors per column. A column
+    * becomes joinable once its count reaches `tAbs`. It starts from the
+    * matching pairs: every vector in such a cell matches q, so q is matched
+    * for every column present in the cell.
+    */
+  private final class Matches(block: BlockResult, index: InvertedIndex, tAbs: Int) {
+    private val matched = mutable.HashMap.empty[Int, mutable.BitSet]
+    val joinable = mutable.HashSet.empty[Int]
+
+    def contains(col: Int, q: Int): Boolean = matched.get(col).exists(_.contains(q))
+
+    def add(col: Int, q: Int): Unit = {
+      val set = matched.getOrElseUpdate(col, mutable.BitSet.empty)
+      set += q
+      if (set.size >= tAbs) joinable += col
+    }
+
+    block.matching.foreach { case (q, cell) =>
+      index.columnsIn(cell).foreach(col => add(col, q))
+    }
+  }
+
   /** PEXESO verification (inverted-index + DaaT + Lemmas 1, 2, 7). */
   def pexeso(
       block: BlockResult,
@@ -39,21 +60,8 @@ object Verify {
       tau: Double,
       tAbs: Int,
   ): (Set[Int], Stats) = {
-    val stats    = new Stats
-    val matched  = mutable.HashMap.empty[Int, mutable.BitSet]
-    val joinable = mutable.HashSet.empty[Int]
-
-    def matchQ(col: Int, q: Int): Unit = {
-      val set = matched.getOrElseUpdate(col, mutable.BitSet.empty)
-      set += q
-      if (set.size >= tAbs) joinable += col
-    }
-
-    // Matching pairs: every vector in the cell matches q, so q is matched
-    // for every column present in the cell.
-    block.matching.foreach { case (q, cell) =>
-      index.columnsIn(cell).foreach(col => matchQ(col, q))
-    }
+    val stats   = new Stats
+    val matches = new Matches(block, index, tAbs)
 
     // DaaT verification as in the paper (Fig. 4): candidate pairs are
     // walked per query vector; each cell's postings are sorted by column,
@@ -83,9 +91,9 @@ object Verify {
           // end of this column's segment inside the cell
           var segEnd = pi
           while (segEnd < posts.length && posts(segEnd).colId == col) segEnd += 1
-          val skip = joinable.contains(col) ||
+          val skip = matches.joinable.contains(col) ||
             matchedCols.contains(col) ||
-            matched.get(col).exists(_.contains(q)) ||
+            matches.contains(col, q) ||
             numQ - mismatch.getOrElse(col, 0) < tAbs // Lemma 7
           if (!skip) {
             seen += col
@@ -102,7 +110,7 @@ object Verify {
               }
               k += 1
             }
-            if (found) { matchedCols += col; matchQ(col, q) }
+            if (found) { matchedCols += col; matches.add(col, q) }
           }
           pi = segEnd
         }
@@ -115,7 +123,7 @@ object Verify {
       i = j
     }
 
-    (joinable.toSet, stats)
+    (matches.joinable.toSet, stats)
   }
 
   /** PEXESO-H verification (paper Section VI-A): same blocking, but each
@@ -130,19 +138,8 @@ object Verify {
       tau: Double,
       tAbs: Int,
   ): (Set[Int], Stats) = {
-    val stats    = new Stats
-    val matched  = mutable.HashMap.empty[Int, mutable.BitSet]
-    val joinable = mutable.HashSet.empty[Int]
-
-    def matchQ(col: Int, q: Int): Unit = {
-      val set = matched.getOrElseUpdate(col, mutable.BitSet.empty)
-      set += q
-      if (set.size >= tAbs) joinable += col
-    }
-
-    block.matching.foreach { case (q, cell) =>
-      index.columnsIn(cell).foreach(col => matchQ(col, q))
-    }
+    val stats   = new Stats
+    val matches = new Matches(block, index, tAbs)
 
     block.candidates.foreach { case (q, cell) =>
       val qo = queryOriginal(q)
@@ -150,15 +147,14 @@ object Verify {
       var pi = 0
       while (pi < posts.length) {
         val p = posts(pi)
-        if (!joinable.contains(p.colId) &&
-            !matched.get(p.colId).exists(_.contains(q))) {
+        if (!matches.joinable.contains(p.colId) && !matches.contains(p.colId, q)) {
           stats.distanceComputations += 1
-          if (VectorOps.euclidean(qo, p.original) <= tau) matchQ(p.colId, q)
+          if (VectorOps.euclidean(qo, p.original) <= tau) matches.add(p.colId, q)
         }
         pi += 1
       }
     }
 
-    (joinable.toSet, stats)
+    (matches.joinable.toSet, stats)
   }
 }

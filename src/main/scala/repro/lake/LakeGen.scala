@@ -149,6 +149,4 @@ object LakeGen {
   def lwdcMiniSpec(seed: Long = 303L): LakeSpec = LakeSpec(
     dim = 50, sharedDomains = 120, colsPerShared = 7, distractors = 11600,
     poolSize = 16, colSizeMin = 6, colSizeMax = 14, noise = 0.8, seed = seed)
-
-  def embedderFor(spec: LakeSpec): HashingEmbedder = new HashingEmbedder(spec.dim)
 }

@@ -2,14 +2,14 @@ package repro.partition
 
 import java.io._
 import java.nio.file.{Files, Path}
-import repro.core.{ColumnVectors, PexesoIndex, SearchResult, VerifyMode}
+import repro.core.{ColumnVectors, PexesoIndex, VerifyMode}
 
 /** Out-of-core joinable table search (paper Section IV): when the lake's
   * index does not fit in memory, each partition is indexed by its own
   * PEXESO, spilled to disk, and at query time the per-partition indexes
   * are loaded back '''one at a time''', searched, and the results merged.
-  * Reported search time includes the index-loading overhead, as in
-  * Table VII (right third).
+  * [[searchBatch]] reports search time including the index-loading
+  * overhead, as in Table VII (right third).
   */
 object OutOfCore {
 
@@ -59,30 +59,5 @@ object OutOfCore {
       }
     }
     (results.toSeq, System.nanoTime() - t0)
-  }
-
-  /** Search every partition sequentially (load → search → discard) and
-    * merge the joinable sets. Timing covers loading + searching.
-    */
-  def search(
-      spilled: Seq[SpilledIndex],
-      query: Array[Array[Double]],
-      tau: Double,
-      tFrac: Double,
-      mode: VerifyMode = VerifyMode.Pexeso,
-  ): SearchResult = {
-    var joinable = Set.empty[Int]
-    var blockNs = 0L; var verifyNs = 0L; var dists = 0L; var cands = 0L; var matches = 0L
-    val t0 = System.nanoTime()
-    spilled.foreach { s =>
-      val index = load(s)
-      val r = index.search(query, tau, tFrac, mode)
-      joinable ++= r.joinable
-      blockNs += r.blockNanos; verifyNs += r.verifyNanos
-      dists += r.distanceComputations; cands += r.candidatePairs; matches += r.matchingPairs
-    }
-    val loadOverhead = (System.nanoTime() - t0) - blockNs - verifyNs
-    // fold the loading overhead into verify time so totalNanos covers it
-    SearchResult(joinable, blockNs, verifyNs + math.max(0L, loadOverhead), dists, cands, matches)
   }
 }

@@ -25,6 +25,12 @@ import repro.embed.VectorOps
   */
 object SparkPexeso {
 
+  /** Pivot-space extent gridded at each level: just above the max distance
+    * between unit vectors. Target and query coordinates are clamped into
+    * it alike, so a coordinate past it cannot lose a match.
+    */
+  private val Extent: Double = VectorOps.MaxUnitDistance + 1e-6
+
   /** Repository columns → `(col_id, row_id, vec)` DataFrame. */
   def lakeToDF(spark: SparkSession, columns: Seq[ColumnVectors]): DataFrame = {
     import spark.implicits._
@@ -40,15 +46,15 @@ object SparkPexeso {
   }
 
   /** Cell id of a mapped vector at `level` (2^level cells per dim). */
-  private def cellOf(mapped: Seq[Double], level: Int, extent: Double): String = {
-    val w = extent / (1 << level)
+  private def cellOf(mapped: Seq[Double], level: Int): String = {
+    val w = Extent / (1 << level)
     mapped.map(x => math.min((1 << level) - 1, math.max(0, (x / w).toInt))).mkString(",")
   }
 
   /** All cells intersecting `SQR(mapped, tau)` at `level`. */
-  private def cellsOverlapping(mapped: Seq[Double], tau: Double, level: Int, extent: Double): Seq[String] = {
+  private def cellsOverlapping(mapped: Seq[Double], tau: Double, level: Int): Seq[String] = {
     val cells = 1 << level
-    val w = extent / cells
+    val w = Extent / cells
     val ranges = mapped.map { x =>
       val lo = math.min(cells - 1, math.max(0, ((x - tau) / w).toInt))
       val hi = math.min(cells - 1, math.max(0, ((x + tau) / w).toInt))
@@ -68,14 +74,13 @@ object SparkPexeso {
       pivots: PivotSet,
       tau: Double,
       level: Int = 3,
-      extent: Double = VectorOps.MaxUnitDistance + 1e-6,
   ): DataFrame = {
     val spark = lakeDf.sparkSession
     val bPivots = spark.sparkContext.broadcast(pivots)
 
     val mapVec = udf { (v: Seq[Double]) => bPivots.value.map(v.toArray).toSeq }
-    val cellU = udf { (m: Seq[Double]) => cellOf(m, level, extent) }
-    val qCellsU = udf { (m: Seq[Double]) => cellsOverlapping(m, tau, level, extent) }
+    val cellU = udf { (m: Seq[Double]) => cellOf(m, level) }
+    val qCellsU = udf { (m: Seq[Double]) => cellsOverlapping(m, tau, level) }
     val pivotFiltered = udf { (qm: Seq[Double], xm: Seq[Double]) =>
       repro.core.PivotSpace.filteredByPivots(qm.toArray, xm.toArray, tau)
     }

@@ -38,7 +38,7 @@ class CoverTreeSpec extends AnyFunSuite {
       val (cols, query) = TestData.searchInstance(seed)
       val tree = CoverTree.build(cols)
       for (tau <- Seq(0.2, 0.4); t <- Seq(0.3, 0.6)) {
-        val got = CoverTree.search(tree, cols, query, tau, t).joinable
+        val got = CoverTree.search(tree, query, tau, t).joinable
         val want = NaiveSearch.search(cols, query, tau, t).joinable
         assert(got == want, s"seed=$seed tau=$tau T=$t")
       }
@@ -48,7 +48,7 @@ class CoverTreeSpec extends AnyFunSuite {
   test("distance computations are counted") {
     val (cols, query) = TestData.searchInstance(30)
     val tree = CoverTree.build(cols)
-    val r = CoverTree.search(tree, cols, query, 0.4, 0.5)
+    val r = CoverTree.search(tree, query, 0.4, 0.5)
     assert(r.distanceComputations > 0)
   }
 

@@ -28,11 +28,10 @@ class BlockSpec extends AnyFunSuite {
     (targets, queries, pivots, hgS, hgQ, targetLeaf, queryMapped)
   }
 
-  private def checkCompleteness(seed: Long, levels: Int, numPivots: Int, tau: Double,
-                                quickBrowsing: Boolean): Unit = {
+  private def checkCompleteness(seed: Long, levels: Int, numPivots: Int, tau: Double): Unit = {
     val (targets, queries, _, hgS, hgQ, targetLeaf, queryMapped) =
       instance(seed, levels, numPivots)
-    val res = Block.run(hgQ, hgS, queryMapped, tau, quickBrowsing)
+    val res = Block.run(hgQ, hgS, queryMapped, tau)
     val pairs = mutable.HashSet.empty[(Int, Seq[Int])]
     (res.matching ++ res.candidates).foreach { case (q, cell) => pairs += ((q, cell.toSeq)) }
     // every true match must be covered by a pair for its leaf cell
@@ -47,19 +46,13 @@ class BlockSpec extends AnyFunSuite {
   }
 
   test("blocking covers all true matches (quick browsing on)") {
-    for (seed <- 1L to 3L; tau <- Seq(0.1, 0.3, 0.6))
-      checkCompleteness(seed, levels = 3, numPivots = 2, tau = tau, quickBrowsing = true)
-  }
-
-  test("blocking covers all true matches (quick browsing off)") {
-    for (seed <- 4L to 6L; tau <- Seq(0.1, 0.3, 0.6))
-      checkCompleteness(seed, levels = 3, numPivots = 2, tau = tau, quickBrowsing = false)
+    for (seed <- 1L to 6L; tau <- Seq(0.1, 0.3, 0.6))
+      checkCompleteness(seed, levels = 3, numPivots = 2, tau = tau)
   }
 
   test("blocking covers all true matches across grid shapes") {
     for (levels <- 1 to 4; numPivots <- Seq(1, 3))
-      checkCompleteness(seed = 7, levels = levels, numPivots = numPivots,
-        tau = 0.4, quickBrowsing = true)
+      checkCompleteness(seed = 7, levels = levels, numPivots = numPivots, tau = 0.4)
   }
 
   test("matching pairs are always true matches") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 import repro.TestData
 import repro.baselines.NaiveSearch
 
@@ -12,18 +13,17 @@ import repro.baselines.NaiveSearch
 class PexesoSpec extends AnyFunSuite {
 
   private def check(seed: Long, numPivots: Int, levels: Int,
-                    tau: Double, tFrac: Double, mode: VerifyMode,
-                    quickBrowsing: Boolean = true): Unit = {
+                    tau: Double, tFrac: Double, mode: VerifyMode): Unit = {
     val (cols, query) = TestData.searchInstance(seed)
     val index = PexesoIndex.build(cols, numPivots, levels)
-    val got = index.search(query, tau, tFrac, mode, quickBrowsing).joinable
+    val got = index.search(query, tau, tFrac, mode).joinable
     val want = NaiveSearch.search(cols, query, tau, tFrac).joinable
     assert(got == want,
-      s"seed=$seed |P|=$numPivots m=$levels tau=$tau T=$tFrac mode=$mode qb=$quickBrowsing")
+      s"seed=$seed |P|=$numPivots m=$levels tau=$tau T=$tFrac mode=$mode")
   }
 
   test("PEXESO equals brute force across random instances") {
-    for (seed <- 1L to 10L)
+    for (seed <- (1L to 10L) ++ (15L to 18L))
       check(seed, numPivots = 3, levels = 3, tau = 0.4, tFrac = 0.5, VerifyMode.Pexeso)
   }
 
@@ -52,10 +52,25 @@ class PexesoSpec extends AnyFunSuite {
       check(seed = 14, numPivots = 3, levels = m, tau = 0.4, tFrac = 0.5, VerifyMode.Pexeso)
   }
 
-  test("exactness with quick browsing disabled") {
-    for (seed <- 15L to 18L)
-      check(seed, numPivots = 3, levels = 3, tau = 0.4, tFrac = 0.5,
-        VerifyMode.Pexeso, quickBrowsing = false)
+  test("vectors of norm > 1 are rejected instead of losing joinable columns") {
+    // Gaussian centres ×3 (norm ≈ 8.5) put pivot-mapped coordinates past the
+    // grid extent, where clamped cells let blocking filter away true matches.
+    for (seed <- 1L to 30L) {
+      val rng = new Random(seed)
+      val centers = IndexedSeq.fill(4)(Array.fill(8)(rng.nextGaussian() * 3))
+      def near(c: Array[Double]) = c.map(_ + rng.nextGaussian() * 0.12)
+      val cols = (0 until 12).map(c =>
+        ColumnVectors(c, s"col$c", Array.fill(20)(near(centers(rng.nextInt(4))))))
+      val query = Array.fill(10)(near(centers(rng.nextInt(4))))
+      intercept[IllegalArgumentException] {
+        PexesoIndex.build(cols, 3, 3).search(query, 0.4, 0.5)
+      }
+    }
+    val (cols, query) = TestData.searchInstance(26)
+    val index = PexesoIndex.build(cols, 3, 3)
+    val e = intercept[IllegalArgumentException](index.search(query.map(_.map(_ * 4)), 0.4, 0.5))
+    assert(e.getMessage.contains("vector norm must be ≤ 1"))
+    intercept[IllegalArgumentException](index.search(Array(Array.fill(8)(Double.NaN)), 0.4, 0.5))
   }
 
   test("PEXESO computes fewer distances than brute force") {

@@ -17,9 +17,8 @@ class OutOfCoreSpec extends AnyFunSuite {
     try {
       val spilled = OutOfCore.buildAndSpill(parts, numPivots = 3, levels = 3, dir)
       assert(spilled.size == parts.size)
-      val got = OutOfCore.search(spilled, query, 0.4, 0.5).joinable
-      val want = NaiveSearch.search(cols, query, 0.4, 0.5).joinable
-      assert(got == want)
+      val (got, _) = OutOfCore.searchBatch(spilled, Seq(query), 0.4, 0.5)
+      assert(got == Seq(NaiveSearch.search(cols, query, 0.4, 0.5).joinable))
     } finally {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
     }
@@ -31,10 +30,10 @@ class OutOfCoreSpec extends AnyFunSuite {
     try {
       val byRandom = Partitioners.split(cols, Partitioners.random(cols, 3))
       val byJsd    = Partitioners.split(cols, JsdClustering.cluster(cols, 3))
-      val a = OutOfCore.search(
-        OutOfCore.buildAndSpill(byRandom, 2, 2, dir.resolve("r")), query, 0.4, 0.5).joinable
-      val b = OutOfCore.search(
-        OutOfCore.buildAndSpill(byJsd, 2, 2, dir.resolve("j")), query, 0.4, 0.5).joinable
+      val a = OutOfCore.searchBatch(
+        OutOfCore.buildAndSpill(byRandom, 2, 2, dir.resolve("r")), Seq(query), 0.4, 0.5)._1
+      val b = OutOfCore.searchBatch(
+        OutOfCore.buildAndSpill(byJsd, 2, 2, dir.resolve("j")), Seq(query), 0.4, 0.5)._1
       assert(a == b)
     } finally {
       def rm(f: java.io.File): Unit = {
@@ -51,8 +50,29 @@ class OutOfCoreSpec extends AnyFunSuite {
     try {
       val parts = Partitioners.split(cols, Partitioners.random(cols, 2))
       val spilled = OutOfCore.buildAndSpill(parts, 2, 2, dir)
-      val got = OutOfCore.search(spilled, query, 0.4, 0.5, VerifyMode.PexesoH).joinable
-      assert(got == NaiveSearch.search(cols, query, 0.4, 0.5).joinable)
+      val (got, _) = OutOfCore.searchBatch(spilled, Seq(query), 0.4, 0.5, VerifyMode.PexesoH)
+      assert(got == Seq(NaiveSearch.search(cols, query, 0.4, 0.5).joinable))
+    } finally {
+      dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
+    }
+  }
+
+  test("a batch of queries gives each query its exact result") {
+    val rng = new Random(94)
+    val cols = TestData.clusteredColumns(rng, nCols = 16, colSize = 15, dim = 8)
+    // queries near the vectors of two columns each, plus one far from the lake
+    val queries = Seq.tabulate(6) { i =>
+      (cols(i).vectors.take(4) ++ cols(i + 6).vectors.take(4)).map(TestData.near(rng, _, 0.05))
+    } :+ Array.fill(8)(TestData.unitVec(rng, 8))
+    val dir = Files.createTempDirectory("pexeso-ooc5")
+    try {
+      val spilled = OutOfCore.buildAndSpill(Partitioners.split(cols, Partitioners.random(cols, 4)), 3, 3, dir)
+      for (tau <- Seq(0.2, 0.4); t <- Seq(0.3, 0.6)) {
+        val (got, nanos) = OutOfCore.searchBatch(spilled, queries, tau, t)
+        assert(got == queries.map(q => NaiveSearch.search(cols, q, tau, t).joinable), s"tau=$tau T=$t")
+        assert(got.exists(_.nonEmpty), s"tau=$tau T=$t: no query joins anything")
+        assert(nanos > 0)
+      }
     } finally {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
     }
