@@ -18,7 +18,8 @@ object VerifyMode {
   * vectors, and the leaf-cell inverted index (paper Sections III-B/C).
   *
   * Serializable so the out-of-core path (Section IV) can spill one index
-  * per partition to disk and load them back one at a time.
+  * per partition to disk and load each back in its own search task.
+  * `search` only reads the index, so concurrent searches may share one.
   */
 final class PexesoIndex(
     val pivots: PivotSet,

@@ -124,4 +124,39 @@ class PexesoSpec extends AnyFunSuite {
     val back = ois.readObject().asInstanceOf[PexesoIndex]
     assert(back.search(query, 0.4, 0.5).joinable == index.search(query, 0.4, 0.5).joinable)
   }
+
+  test("concurrent searches on one shared index give the sequential results") {
+    val rng = new Random(26)
+    val cols = TestData.clusteredColumns(rng, nCols = 40, colSize = 20, dim = 8)
+    val index = PexesoIndex.build(cols, 3, 4)
+    val queries = IndexedSeq.tabulate(12) { i =>
+      (cols(i).vectors.take(5) ++ cols(i + 20).vectors.take(5)).map(TestData.near(rng, _, 0.05))
+    }
+    val cases = for {
+      q <- queries.indices; tau <- Seq(0.2, 0.4); t <- Seq(0.3, 0.6)
+      mode <- Seq(VerifyMode.Pexeso, VerifyMode.PexesoH)
+    } yield (q, tau, t, mode)
+    def run(c: (Int, Double, Double, VerifyMode)) = {
+      val r = index.search(queries(c._1), c._2, c._3, c._4)
+      (r.joinable, r.distanceComputations, r.candidatePairs, r.matchingPairs)
+    }
+    val sequential = cases.map(c => c -> run(c)).toMap
+    assert(sequential.values.exists(_._1.nonEmpty))
+
+    val threads = 8
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(threads)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    try {
+      val futures = (0 until threads).map { w =>
+        pool.submit[Seq[(Int, Double, Double, VerifyMode)]] { () =>
+          start.await()
+          // every thread runs every case three times, each in its own order
+          val order = new Random(w).shuffle(cases ++ cases ++ cases)
+          order.filter(c => run(c) != sequential(c))
+        }
+      }
+      start.countDown()
+      futures.foreach(f => assert(f.get().isEmpty))
+    } finally pool.shutdown()
+  }
 }

@@ -1,13 +1,41 @@
 package repro.partition
 
-import java.nio.file.Files
+import java.nio.file.{Files, NoSuchFileException}
+import java.util.concurrent.atomic.AtomicInteger
 import org.scalatest.funsuite.AnyFunSuite
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 import repro.TestData
 import repro.baselines.NaiveSearch
-import repro.core.VerifyMode
+import repro.core.{ColumnVectors, VerifyMode}
 
 class OutOfCoreSpec extends AnyFunSuite {
+
+  private def workerThreads: Set[Thread] =
+    Thread.getAllStackTraces.keySet.asScala.filter(_.getName.startsWith("pexeso-ooc-")).toSet
+
+  private def rm(f: java.io.File): Unit = {
+    if (f.isDirectory) f.listFiles().foreach(rm)
+    f.delete(); ()
+  }
+
+  /** 36 clustered columns spilled as 12 random partitions (more partitions
+    * than a small machine has cores), with queries near two columns each.
+    */
+  private def twelvePartitions(body: (IndexedSeq[ColumnVectors],
+      Seq[OutOfCore.SpilledIndex], Seq[Array[Array[Double]]]) => Unit): Unit = {
+    val rng = new Random(95)
+    val cols = TestData.clusteredColumns(rng, nCols = 36, colSize = 10, dim = 8)
+    val queries = Seq.tabulate(5) { i =>
+      (cols(i).vectors.take(4) ++ cols(i + 18).vectors.take(4)).map(TestData.near(rng, _, 0.05))
+    }
+    val dir = Files.createTempDirectory("pexeso-ooc6")
+    try {
+      val parts = Partitioners.split(cols, Partitioners.random(cols, 12))
+      assert(parts.size == 12)
+      body(cols, OutOfCore.buildAndSpill(parts, 3, 3, dir), queries)
+    } finally rm(dir.toFile)
+  }
 
   test("spill + load + partitioned search equals the in-memory exact result") {
     val (cols, query) = TestData.searchInstance(seed = 90, nCols = 16, colSize = 15)
@@ -35,13 +63,7 @@ class OutOfCoreSpec extends AnyFunSuite {
       val b = OutOfCore.searchBatch(
         OutOfCore.buildAndSpill(byJsd, 2, 2, dir.resolve("j")), Seq(query), 0.4, 0.5)._1
       assert(a == b)
-    } finally {
-      def rm(f: java.io.File): Unit = {
-        if (f.isDirectory) f.listFiles().foreach(rm)
-        f.delete(); ()
-      }
-      rm(dir.toFile)
-    }
+    } finally rm(dir.toFile)
   }
 
   test("search works in PEXESO-H mode too") {
@@ -76,6 +98,57 @@ class OutOfCoreSpec extends AnyFunSuite {
     } finally {
       dir.toFile.listFiles().foreach(_.delete()); Files.deleteIfExists(dir)
     }
+  }
+
+  test("a batch over more partitions than workers gives each query its exact result") {
+    twelvePartitions { (cols, spilled, queries) =>
+      for (tau <- Seq(0.2, 0.4); t <- Seq(0.3, 0.6)) {
+        val (got, _) = OutOfCore.searchBatch(spilled, queries, tau, t)
+        assert(got == queries.map(q => NaiveSearch.search(cols, q, tau, t).joinable), s"tau=$tau T=$t")
+        assert(got.exists(_.nonEmpty), s"tau=$tau T=$t: no query joins anything")
+        assert(workerThreads.isEmpty)
+      }
+    }
+  }
+
+  test("a query of norm > 1 fails with IllegalArgumentException, not ExecutionException") {
+    twelvePartitions { (_, spilled, queries) =>
+      val tooLong = queries.head.map(_.map(_ * 4))
+      intercept[IllegalArgumentException] {
+        OutOfCore.searchBatch(spilled, queries :+ tooLong, 0.4, 0.5)
+      }
+      assert(workerThreads.isEmpty)
+    }
+  }
+
+  test("a deleted spill file fails with NoSuchFileException") {
+    twelvePartitions { (_, spilled, queries) =>
+      Files.delete(spilled(7).path)
+      intercept[NoSuchFileException](OutOfCore.searchBatch(spilled, queries, 0.4, 0.5))
+      assert(workerThreads.isEmpty)
+    }
+  }
+
+  test("partition tasks run on at most min(#partitions, cores) workers, results in order") {
+    val cores = Runtime.getRuntime.availableProcessors
+    for (n <- Seq(1, 2, cores + 3)) {
+      val running = new AtomicInteger
+      val peak = new AtomicInteger
+      val names = java.util.concurrent.ConcurrentHashMap.newKeySet[String]()
+      val got = OutOfCore.eachPartition(0 until n) { p =>
+        peak.accumulateAndGet(running.incrementAndGet(), (a, b) => math.max(a, b))
+        names.add(Thread.currentThread.getName)
+        Thread.sleep(20)
+        running.decrementAndGet()
+        p * 10
+      }
+      assert(got == (0 until n).map(_ * 10))
+      assert(peak.get <= math.min(n, cores), s"n=$n")
+      assert(names.asScala.forall(_.startsWith("pexeso-ooc-")), s"n=$n")
+      assert(names.size <= math.min(n, cores), s"n=$n")
+      assert(workerThreads.isEmpty)
+    }
+    assert(OutOfCore.eachPartition(Seq.empty[Int])(identity).isEmpty)
   }
 
   test("load restores a working index") {
