@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{ColumnVectors, SearchResult, Verify}
+import repro.core.{ColumnVectors, SearchResult}
 import repro.embed.VectorOps
 
 /** Cover tree range index — the CTREE competitor of paper Section VI-A
@@ -71,9 +71,8 @@ object CoverTree {
     t
   }
 
-  /** CTREE joinable-column search: one range query per query vector;
-    * results counted toward the owning column's joinability; columns that
-    * reach T are skipped thereafter.
+  /** CTREE joinable-column search: [[RangeSearch]] over
+    * [[CoverTree.rangeColumns]], counting the tree's distance computations.
     */
   def search(
       tree: CoverTree,
@@ -81,19 +80,7 @@ object CoverTree {
       tau: Double,
       tFrac: Double,
   ): SearchResult = {
-    val tAbs = Verify.absThreshold(tFrac, query.length)
-    val counts = mutable.HashMap.empty[Int, Int]
-    val joinable = mutable.HashSet.empty[Int]
     val d0 = tree.distanceComputations
-    val t0 = System.nanoTime()
-    query.foreach { qv =>
-      tree.rangeColumns(qv, tau, joinable.contains).foreach { col =>
-        val c = counts.getOrElse(col, 0) + 1
-        counts(col) = c
-        if (c >= tAbs) joinable += col
-      }
-    }
-    val t1 = System.nanoTime()
-    SearchResult(joinable.toSet, 0L, t1 - t0, tree.distanceComputations - d0, 0L, 0L)
+    RangeSearch.joinable(query, tFrac, () => tree.distanceComputations - d0)(tree.rangeColumns(_, tau, _))
   }
 }

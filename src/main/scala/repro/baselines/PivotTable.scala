@@ -1,7 +1,7 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{ColumnVectors, SearchResult, Verify}
+import repro.core.{ColumnVectors, SearchResult}
 import repro.embed.VectorOps
 
 /** EPT — pivot table competitor of paper Section VI-A (Ruiz et al. [27],
@@ -18,20 +18,22 @@ final class PivotTable(
     val pivots: Array[Array[Double]],
     /** vectors flattened in column order, with their pivot distances */
     val entries: Array[PivotTable.Entry],
-) extends Serializable {
-  @transient var distanceComputations: Long = 0L
-}
+) extends Serializable
 
 object PivotTable {
 
   final case class Entry(colId: Int, vector: Array[Double], pivotDists: Array[Double])
 
-  def build(columns: Seq[ColumnVectors], numPivots: Int, seed: Long = 11L): PivotTable = {
+  /** Index of the first pivot in the flattened repository (mod its size). */
+  private val FirstPivot = 11L
+
+  def build(columns: Seq[ColumnVectors], numPivots: Int): PivotTable = {
+    require(numPivots >= 1, s"need numPivots >= 1, got $numPivots")
     val all = columns.iterator.flatMap(c => c.vectors.iterator.map(v => (c.colId, v))).toArray
     require(all.nonEmpty, "empty repository")
 
     // farthest-first pivot selection from a deterministic start
-    val pivots = mutable.ArrayBuffer[Array[Double]](all(math.abs(seed % all.length).toInt)._2)
+    val pivots = mutable.ArrayBuffer[Array[Double]](all((FirstPivot % all.length).toInt)._2)
     while (pivots.length < numPivots && pivots.length < all.length) {
       var best: Array[Double] = null
       var bestD = -1.0
@@ -49,9 +51,9 @@ object PivotTable {
     new PivotTable(ps, entries)
   }
 
-  /** EPT joinable-column search: same workflow as CTREE — one range query
-    * per query vector with the pivot-table filter, early termination once
-    * a column reaches T.
+  /** EPT joinable-column search: [[RangeSearch]] whose range query scans
+    * the table, pruning by the pivot lower bound and verifying the rest
+    * with exact distances.
     */
   def search(
       table: PivotTable,
@@ -59,20 +61,15 @@ object PivotTable {
       tau: Double,
       tFrac: Double,
   ): SearchResult = {
-    val tAbs = Verify.absThreshold(tFrac, query.length)
-    val counts = mutable.HashMap.empty[Int, Int]
-    val joinable = mutable.HashSet.empty[Int]
     var dist = 0L
-    val t0 = System.nanoTime()
-
-    query.foreach { qv =>
+    RangeSearch.joinable(query, tFrac, () => dist) { (qv, skip) =>
       val qd = table.pivots.map(p => VectorOps.euclidean(p, qv))
       dist += table.pivots.length
       val hit = mutable.HashSet.empty[Int]
       var i = 0
       while (i < table.entries.length) {
         val e = table.entries(i)
-        if (!joinable.contains(e.colId) && !hit.contains(e.colId)) {
+        if (!skip(e.colId) && !hit.contains(e.colId)) {
           // pivot lower bound
           var lb = 0.0
           var j = 0
@@ -88,14 +85,7 @@ object PivotTable {
         }
         i += 1
       }
-      hit.foreach { col =>
-        val c = counts.getOrElse(col, 0) + 1
-        counts(col) = c
-        if (c >= tAbs) joinable += col
-      }
+      hit
     }
-
-    val t1 = System.nanoTime()
-    SearchResult(joinable.toSet, 0L, t1 - t0, dist, 0L, 0L)
   }
 }

@@ -1,8 +1,8 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.core.{ColumnVectors, SearchResult, Verify}
-import repro.embed.VectorOps
+import repro.core.{ColumnVectors, SearchResult}
+import repro.embed.{KMeans, VectorOps}
 
 /** PQ — product quantization competitor (Jégou et al. [16], the nanopq
   * equivalent of paper Section VI-A).
@@ -49,24 +49,22 @@ object ProductQuantization {
   private[baselines] def slice(v: Array[Double], s: Int, subDim: Int): Array[Double] =
     java.util.Arrays.copyOfRange(v, s * subDim, (s + 1) * subDim)
 
-  /** Train codebooks with Lloyd's k-means per subspace and encode all
-    * repository vectors.
+  /** Lloyd iterations per codebook. */
+  private val TrainIterations = 10
+
+  /** Train codebooks with [[KMeans]] per subspace and encode all repository
+    * vectors.
     */
-  def build(
-      columns: Seq[ColumnVectors],
-      numSub: Int,
-      k: Int,
-      iterations: Int = 10,
-  ): ProductQuantization = {
+  def build(columns: Seq[ColumnVectors], numSub: Int, k: Int): ProductQuantization = {
     val all = columns.iterator.flatMap(c => c.vectors.iterator.map(v => (c.colId, v))).toArray
     require(all.nonEmpty, "empty repository")
     val dim = all.head._2.length
-    require(dim % numSub == 0, s"dim $dim not divisible by numSub $numSub")
+    require(numSub >= 1 && dim % numSub == 0, s"dim $dim not divisible by numSub $numSub")
     val subDim = dim / numSub
 
     val codebooks = Array.tabulate(numSub) { s =>
       val pts = all.map(e => slice(e._2, s, subDim))
-      kmeans(pts, math.min(k, pts.length), iterations)
+      KMeans.lloyd(pts, k, TrainIterations, VectorOps.euclideanSq).centers
     }
 
     val codes = all.map { case (col, v) =>
@@ -90,28 +88,6 @@ object ProductQuantization {
     best
   }
 
-  /** Plain Lloyd iterations with deterministic spaced initialization. */
-  private def kmeans(pts: Array[Array[Double]], k: Int, iters: Int): Array[Array[Double]] = {
-    val step = math.max(1, pts.length / k)
-    var centroids = Array.tabulate(k)(i => pts(math.min(pts.length - 1, i * step)).clone())
-    var it = 0
-    while (it < iters) {
-      val sums = Array.fill(k)(new Array[Double](pts.head.length))
-      val cnts = new Array[Int](k)
-      pts.foreach { p =>
-        val c = nearest(centroids, p)
-        VectorOps.addInPlace(sums(c), p)
-        cnts(c) += 1
-      }
-      centroids = Array.tabulate(k) { c =>
-        if (cnts(c) == 0) centroids(c)
-        else sums(c).map(_ / cnts(c))
-      }
-      it += 1
-    }
-    centroids
-  }
-
   /** PQ joinable-column search — same workflow as CTREE/EPT, range queries
     * answered approximately by ADC distance ≤ τ·slack.
     */
@@ -122,30 +98,18 @@ object ProductQuantization {
       tFrac: Double,
       slack: Double = 1.0,
   ): SearchResult = {
-    val tAbs = Verify.absThreshold(tFrac, query.length)
-    val counts = mutable.HashMap.empty[Int, Int]
-    val joinable = mutable.HashSet.empty[Int]
     var dist = 0L
-    val t0 = System.nanoTime()
-
-    query.foreach { qv =>
+    RangeSearch.joinable(query, tFrac, () => dist) { (qv, skip) =>
       val tables = pq.adcTables(qv)
       dist += pq.numSub.toLong * pq.codebooks(0).length
       val hit = mutable.HashSet.empty[Int]
       pq.codes.foreach { e =>
-        if (!joinable.contains(e.colId) && !hit.contains(e.colId)) {
+        if (!skip(e.colId) && !hit.contains(e.colId)) {
           if (pq.adcDistance(tables, e) <= tau * slack) hit += e.colId
         }
       }
-      hit.foreach { col =>
-        val c = counts.getOrElse(col, 0) + 1
-        counts(col) = c
-        if (c >= tAbs) joinable += col
-      }
+      hit
     }
-
-    val t1 = System.nanoTime()
-    SearchResult(joinable.toSet, 0L, t1 - t0, dist, 0L, 0L)
   }
 
   /** Find the smallest slack whose range-query recall on a sample of
@@ -171,7 +135,6 @@ object ProductQuantization {
         if (truth.nonEmpty) {
           val tables = pq.adcTables(q)
           var hits = 0
-          var i = 0
           var keyIdx = 0
           // ADC over the same flattened order as `flat`
           pq.codes.foreach { e =>
@@ -181,7 +144,6 @@ object ProductQuantization {
           }
           hitSum += hits.toDouble / truth.size
           n += 1
-          i += 1
         }
       }
       if (n == 0) 1.0 else hitSum / n

@@ -134,17 +134,8 @@ object TextJoins {
       query: Seq[String],
       tFrac: Double,
       method: Method,
-  ): Set[Int] = {
-    val jn: (Seq[String], Seq[String]) => Double = method match {
-      case Method.Equi                  => equiJoinability
-      case Method.Jaccard(theta)        => jaccardJoinability(_, _, theta)
-      case Method.Fuzzy(theta, delta)   => fuzzyJoinability(_, _, theta, delta)
-    }
-    columns.iterator
-      .filter(c => jn(query, c.values) >= tFrac - 1e-9)
-      .map(_.colId)
-      .toSet
-  }
+  ): Set[Int] =
+    joinabilities(columns, query, method).collect { case (col, jn) if jn >= tFrac - 1e-9 => col }.toSet
 
   sealed trait Method
   object Method {

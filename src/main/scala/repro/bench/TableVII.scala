@@ -90,18 +90,6 @@ object TableVII {
 
   val distanceFooters: scala.collection.mutable.ArrayBuffer[String] = scala.collection.mutable.ArrayBuffer.empty
 
-  private def spillObj(obj: AnyRef, path: java.nio.file.Path): Unit = {
-    val oos = new java.io.ObjectOutputStream(
-      new java.io.BufferedOutputStream(Files.newOutputStream(path)))
-    try oos.writeObject(obj) finally oos.close()
-  }
-
-  private def loadObj[A](path: java.nio.file.Path): A = {
-    val ois = new java.io.ObjectInputStream(
-      new java.io.BufferedInputStream(Files.newInputStream(path)))
-    try ois.readObject().asInstanceOf[A] finally ois.close()
-  }
-
   def runOutOfCore(spec: LakeGen.LakeSpec): Seq[Seq[String]] = {
     val lake = LakeGen.generate(spec)
     val (queries, rest) = LakeGen.splitQueries(lake, BenchConfig.NumQueries, seed = 44L)
@@ -121,10 +109,10 @@ object TableVII {
     // indexes follow (paper Section IV).
     val partList = parts.toSeq.sortBy(_._1)
     val ctreePaths = partList.map { case (p, cols) =>
-      val path = dir.resolve(s"ctree-$p.bin"); spillObj(CoverTree.build(cols), path); path
+      val path = dir.resolve(s"ctree-$p.bin"); OutOfCore.spill(CoverTree.build(cols), path); path
     }
     val eptPaths = partList.map { case (p, cols) =>
-      val path = dir.resolve(s"ept-$p.bin"); spillObj(PivotTable.build(cols, 5), path); path
+      val path = dir.resolve(s"ept-$p.bin"); OutOfCore.spill(PivotTable.build(cols, 5), path); path
     }
 
     // every method loads each partition from disk once per grid cell and
@@ -132,7 +120,7 @@ object TableVII {
     val ctreeT = runMethod { (tau, t) =>
       val t0 = System.nanoTime()
       OutOfCore.eachPartition(ctreePaths) { path =>
-        val tree = loadObj[CoverTree](path)
+        val tree = OutOfCore.unspill[CoverTree](path)
         embQs.foreach(q => CoverTree.search(tree, q, tau, t))
       }
       System.nanoTime() - t0
@@ -140,7 +128,7 @@ object TableVII {
     val eptT = runMethod { (tau, t) =>
       val t0 = System.nanoTime()
       OutOfCore.eachPartition(eptPaths) { path =>
-        val table = loadObj[PivotTable](path)
+        val table = OutOfCore.unspill[PivotTable](path)
         embQs.foreach(q => PivotTable.search(table, q, tau, t))
       }
       System.nanoTime() - t0

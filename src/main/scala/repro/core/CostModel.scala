@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.Arrays
+import scala.collection.immutable.ArraySeq
 
 /** Cost analysis and optimal-m tuning (paper Section III-E, Eqs. 1–2).
   *
@@ -18,12 +19,11 @@ import java.util.Arrays
   * query workload via gradient descent on a continuous relaxation of m
   * and round up, as in the paper.
   */
-final class CostModel(
-    mappedSample: Array[Array[Double]],
-    val numPivots: Int,
-    val extent: Double = HierarchicalGrid.DefaultExtent,
-) extends Serializable {
+final class CostModel(mappedSample: Array[Array[Double]], val numPivots: Int) extends Serializable {
   require(mappedSample.nonEmpty, "empty mapped sample")
+
+  import CostModel.DescentSteps
+  import HierarchicalGrid.DefaultExtent
 
   /** Sorted per-dimension values — the empirical distribution PDF_i. */
   private val sortedDims: Array[Array[Double]] = {
@@ -52,7 +52,7 @@ final class CostModel(
     * level m.
     */
   def nMax(qMapped: Array[Double], tau: Double, m: Double): Double = {
-    val halfCell = extent / (2.0 * math.pow(2.0, m))
+    val halfCell = DefaultExtent / (2.0 * math.pow(2.0, m))
     var best = Double.MaxValue
     var i = 0
     while (i < numPivots) {
@@ -67,19 +67,8 @@ final class CostModel(
     * the exact sparse-grid width the blocking descent walks.
     */
   private def distinctCells(vectors: Array[Array[Double]], level: Int): Int = {
-    val cellsPerDim = 1 << level
-    val w = extent / cellsPerDim
-    val seen = new java.util.HashSet[java.util.List[Integer]]()
-    vectors.foreach { v =>
-      val coords = new java.util.ArrayList[Integer](numPivots)
-      var i = 0
-      while (i < numPivots) {
-        coords.add(math.min(cellsPerDim - 1, math.max(0, (v(i) / w).toInt)))
-        i += 1
-      }
-      seen.add(coords); ()
-    }
-    seen.size
+    val grid = new HierarchicalGrid(numPivots, level)
+    vectors.iterator.map(v => ArraySeq.unsafeWrapArray(grid.coordsAt(v, level))).toSet.size
   }
 
   /** Eq. 1 estimate for a workload of (mapped query column, τ) pairs at
@@ -116,14 +105,13 @@ final class CostModel(
   def optimalM(
       workload: Seq[(Array[Array[Double]], Double)],
       mMax: Int = 10,
-      steps: Int = 60,
       origDim: Int = 100,
   ): (Int, Double) = {
     var m = mMax / 2.0
     var lr = 0.5
     val eps = 0.05
     var i = 0
-    while (i < steps) {
+    while (i < DescentSteps) {
       val g = (expectedCost(workload, m + eps, origDim) -
         expectedCost(workload, m - eps, origDim)) / (2 * eps)
       // normalized step: only the gradient sign and a decaying rate matter here
@@ -140,6 +128,9 @@ final class CostModel(
 }
 
 object CostModel {
+  /** Gradient-descent steps of [[CostModel.optimalM]]. */
+  private val DescentSteps = 60
+
   /** Build from an index-free sample: select pivots, map the sample. */
   def fromVectors(
       sample: IndexedSeq[Array[Double]],

@@ -15,19 +15,17 @@ import repro.embed.VectorOps
   */
 object PivotSelection {
 
+  /** Power-iteration steps per principal component. */
+  private val PowerIterations = 20
+  /** Seed of the deterministic start vectors. */
+  private val StartSeed = 7L
+
   /** Select `k` distinct pivots from `vectors` (or a sample thereof).
     *
-    * @param vectors    candidate pool (pass a uniform sample for big lakes)
-    * @param k          number of pivots (should stay below the original dim)
-    * @param iterations power-iteration steps per principal component
-    * @param seed       deterministic start vectors
+    * @param vectors candidate pool (pass a uniform sample for big lakes)
+    * @param k       number of pivots (should stay below the original dim)
     */
-  def pcaPivots(
-      vectors: IndexedSeq[Array[Double]],
-      k: Int,
-      iterations: Int = 20,
-      seed: Long = 7L,
-  ): PivotSet = {
+  def pcaPivots(vectors: IndexedSeq[Array[Double]], k: Int): PivotSet = {
     require(vectors.nonEmpty, "empty vector pool")
     require(k >= 1, "need k >= 1")
     val dim = vectors.head.length
@@ -44,7 +42,7 @@ object PivotSelection {
     val comps = new scala.collection.mutable.ArrayBuffer[Array[Double]]
 
     var c = 0
-    var rngState = seed
+    var rngState = StartSeed
     while (c < math.min(k, dim)) {
       // deterministic pseudo-random start vector
       var v = Array.fill(dim) {
@@ -53,7 +51,7 @@ object PivotSelection {
       }
       v = VectorOps.normalize(v)
       var it = 0
-      while (it < iterations) {
+      while (it < PowerIterations) {
         // w = Cov * v  (implicitly, up to 1/n scale):  sum_x ((x-mu)·v)(x-mu)
         val w = new Array[Double](dim)
         vectors.foreach { x =>

@@ -22,6 +22,7 @@ object ColumnHistogram {
   def referencePoints(columns: Seq[ColumnVectors], r: Int): Array[Array[Double]] = {
     val all = columns.iterator.flatMap(_.vectors).toIndexedSeq
     require(all.nonEmpty, "empty lake")
+    require(r >= 1, s"need r >= 1 reference points, got $r")
     val step = math.max(1, all.length / r)
     (0 until r).map(i => all(math.min(all.length - 1, i * step)).clone()).toArray
   }
@@ -29,14 +30,10 @@ object ColumnHistogram {
   /** Normalized (sums to 1) concatenated histogram with Laplace smoothing
     * so KL divergence is finite everywhere.
     */
-  def signature(
-      col: ColumnVectors,
-      refs: Array[Array[Double]],
-      bins: Int,
-      maxDist: Double = VectorOps.MaxUnitDistance,
-  ): Array[Double] = {
+  def signature(col: ColumnVectors, refs: Array[Array[Double]], bins: Int): Array[Double] = {
+    require(bins >= 1, s"need bins >= 1, got $bins")
     val h = new Array[Double](refs.length * bins)
-    val w = maxDist / bins
+    val w = VectorOps.MaxUnitDistance / bins
     var ri = 0
     while (ri < refs.length) {
       val ref = refs(ri)

@@ -31,15 +31,23 @@ object OutOfCore {
     parts.toSeq.sortBy(_._1).map { case (p, cols) =>
       val index = PexesoIndex.build(cols, numPivots, levels)
       val path = dir.resolve(s"pexeso-part-$p.bin")
-      val oos = new ObjectOutputStream(new BufferedOutputStream(Files.newOutputStream(path)))
-      try oos.writeObject(index) finally oos.close()
+      spill(index, path)
       SpilledIndex(p, path, cols.size)
     }
   }
 
-  def load(spilled: SpilledIndex): PexesoIndex = {
-    val ois = new ObjectInputStream(new BufferedInputStream(Files.newInputStream(spilled.path)))
-    try ois.readObject().asInstanceOf[PexesoIndex] finally ois.close()
+  def load(spilled: SpilledIndex): PexesoIndex = unspill[PexesoIndex](spilled.path)
+
+  /** Write `obj` to `path` with plain Java serialization. */
+  private[repro] def spill(obj: AnyRef, path: Path): Unit = {
+    val oos = new ObjectOutputStream(new BufferedOutputStream(Files.newOutputStream(path)))
+    try oos.writeObject(obj) finally oos.close()
+  }
+
+  /** Read back an object [[spill]] wrote to `path`. */
+  private[repro] def unspill[A](path: Path): A = {
+    val ois = new ObjectInputStream(new BufferedInputStream(Files.newInputStream(path)))
+    try ois.readObject().asInstanceOf[A] finally ois.close()
   }
 
   /** Batched search: each partition is one task that loads it, runs every

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{ColumnVectors, PivotSet, Verify}
+import repro.core.HierarchicalGrid.DefaultExtent
 import repro.embed.VectorOps
 
 /** Distributed PEXESO as a Catalyst dataflow (DESIGN.md §2.4).
@@ -25,12 +26,6 @@ import repro.embed.VectorOps
   */
 object SparkPexeso {
 
-  /** Pivot-space extent gridded at each level: just above the max distance
-    * between unit vectors. Target and query coordinates are clamped into
-    * it alike, so a coordinate past it cannot lose a match.
-    */
-  private val Extent: Double = VectorOps.MaxUnitDistance + 1e-6
-
   /** Repository columns → `(col_id, row_id, vec)` DataFrame. */
   def lakeToDF(spark: SparkSession, columns: Seq[ColumnVectors]): DataFrame = {
     import spark.implicits._
@@ -45,16 +40,19 @@ object SparkPexeso {
     query.toSeq.zipWithIndex.map { case (v, i) => (i, v.toSeq) }.toDF("q_id", "vec")
   }
 
-  /** Cell id of a mapped vector at `level` (2^level cells per dim). */
+  /** Cell id of a mapped vector at `level` (2^level cells per dim) over the
+    * core grid's extent. Target and query coordinates are clamped into it
+    * alike, so a coordinate past it cannot lose a match.
+    */
   private def cellOf(mapped: Seq[Double], level: Int): String = {
-    val w = Extent / (1 << level)
+    val w = DefaultExtent / (1 << level)
     mapped.map(x => math.min((1 << level) - 1, math.max(0, (x / w).toInt))).mkString(",")
   }
 
   /** All cells intersecting `SQR(mapped, tau)` at `level`. */
   private def cellsOverlapping(mapped: Seq[Double], tau: Double, level: Int): Seq[String] = {
     val cells = 1 << level
-    val w = Extent / cells
+    val w = DefaultExtent / cells
     val ranges = mapped.map { x =>
       val lo = math.min(cells - 1, math.max(0, ((x - tau) / w).toInt))
       val hi = math.min(cells - 1, math.max(0, ((x + tau) / w).toInt))

@@ -57,4 +57,9 @@ class PivotTableSpec extends AnyFunSuite {
   test("empty repository rejected") {
     intercept[IllegalArgumentException] { PivotTable.build(Seq.empty, 2) }
   }
+
+  test("numPivots = 0 rejected instead of building one pivot") {
+    val cols = TestData.clusteredColumns(new Random(4), 2, 5, 4)
+    intercept[IllegalArgumentException] { PivotTable.build(cols, numPivots = 0) }
+  }
 }

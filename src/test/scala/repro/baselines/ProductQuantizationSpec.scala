@@ -87,4 +87,10 @@ class ProductQuantizationSpec extends AnyFunSuite {
     val r = ProductQuantization.search(pqW, query, 0.4, 0.4)
     assert(r.distanceComputations > 0)
   }
+
+  test("k = 0 codebook entries and numSub = 0 rejected") {
+    val cols = TestData.clusteredColumns(new Random(9), 2, 5, 8)
+    intercept[IllegalArgumentException] { ProductQuantization.build(cols, numSub = 4, k = 0) }
+    intercept[IllegalArgumentException] { ProductQuantization.build(cols, numSub = 0, k = 4) }
+  }
 }

@@ -47,4 +47,11 @@ class ColumnHistogramSpec extends AnyFunSuite {
     val sig = ColumnHistogram.signature(col, refs, bins = 4)
     assert(math.abs(sig.sum - 1.0) < 1e-9)
   }
+
+  test("referencePoints rejects r = 0 and signature rejects 0 bins") {
+    val cols = TestData.clusteredColumns(new Random(4), 2, 5, 6)
+    intercept[IllegalArgumentException](ColumnHistogram.referencePoints(cols, 0))
+    val refs = ColumnHistogram.referencePoints(cols, 2)
+    intercept[IllegalArgumentException](ColumnHistogram.signature(cols.head, refs, bins = 0))
+  }
 }

@@ -47,4 +47,15 @@ class PartitionersSpec extends AnyFunSuite {
     assert(assign.take(5).toSet.size == 1 && assign.drop(5).toSet.size == 1)
     assert(assign.head != assign.last)
   }
+
+  test("random rejects k = 0 instead of dividing by zero") {
+    val cols = TestData.clusteredColumns(new Random(5), 4, 3, 6)
+    intercept[IllegalArgumentException](Partitioners.random(cols, 0))
+  }
+
+  test("avgKMeans rejects an empty lake and k = 0") {
+    intercept[IllegalArgumentException](Partitioners.avgKMeans(IndexedSeq.empty, 2))
+    val cols = TestData.clusteredColumns(new Random(6), 4, 3, 6)
+    intercept[IllegalArgumentException](Partitioners.avgKMeans(cols, 0))
+  }
 }
