@@ -42,8 +42,11 @@ object TableVII {
     }.toMap
   }
 
+  /** The grid rows of one in-memory corpus and its distance-computation
+    * footer line.
+    */
   def runInMemory(name: String, spec: LakeGen.LakeSpec,
-                  numPivots: Int, levels: Int): Seq[Seq[String]] = {
+                  numPivots: Int, levels: Int): (Seq[Seq[String]], String) = {
     val lake = LakeGen.generate(spec)
     val (queries, rest) = LakeGen.splitQueries(lake, BenchConfig.NumQueries, seed = 33L)
     val embedder = new HashingEmbedder(spec.dim)
@@ -83,12 +86,9 @@ object TableVII {
     val eptD = embQs.map(q => PivotTable.search(ept, q, tau, t).distanceComputations).sum
     val hD = embQs.map(q => index.search(q, tau, t, VerifyMode.PexesoH).distanceComputations).sum
     val pD = embQs.map(q => index.search(q, tau, t, VerifyMode.Pexeso).distanceComputations).sum
-    distanceFooters += s"$name distance computations (tau=6%, T=60%): " +
-      s"CTREE=$ctreeD EPT=$eptD PEXESO-H=$hD PEXESO=$pD"
-    rows
+    (rows, s"$name distance computations (tau=6%, T=60%): " +
+      s"CTREE=$ctreeD EPT=$eptD PEXESO-H=$hD PEXESO=$pD")
   }
-
-  val distanceFooters: scala.collection.mutable.ArrayBuffer[String] = scala.collection.mutable.ArrayBuffer.empty
 
   def runOutOfCore(spec: LakeGen.LakeSpec): Seq[Seq[String]] = {
     val lake = LakeGen.generate(spec)
@@ -172,16 +172,22 @@ object TableVII {
   }
 
   def run(spark: Option[SparkSession]): String = {
-    val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
-    val open = runInMemory("OPEN", BenchConfig.openMini,
+    val (open, openD) = runInMemory("OPEN", BenchConfig.openMini,
       BenchConfig.OpenPivots, BenchConfig.OpenLevels)
-    val swdc = runInMemory("SWDC", BenchConfig.swdcMini,
+    val (swdc, swdcD) = runInMemory("SWDC", BenchConfig.swdcMini,
       BenchConfig.SwdcPivots, BenchConfig.SwdcLevels)
     val lwdc = runOutOfCore(BenchConfig.lwdcMini)
-    val base = Fmt.table(header, open ++ swdc ++ lwdc)
-    val footer = "\n\n" + distanceFooters.mkString("\n") +
-      spark.map(s => "\n\n" + distributedFooter(s)).getOrElse("")
-    base + footer +
+    report(open ++ swdc ++ lwdc, Seq(openD, swdcD), spark.map(distributedFooter))
+  }
+
+  /** The Table VII report: the grid, the distance-computation footers, the
+    * SparkPexeso data point if there is one, and the paper's reference range.
+    */
+  def report(rows: Seq[Seq[String]], distanceFooters: Seq[String],
+             distributed: Option[String]): String = {
+    val header = Seq("Dataset", "T", "tau", "CTREE(ms)", "EPT(ms)", "PEXESO-H(ms)", "PEXESO(ms)")
+    Fmt.table(header, rows) + "\n\n" + distanceFooters.mkString("\n") +
+      distributed.map("\n\n" + _).getOrElse("") +
       "\n\npaper reference (seconds, 100 queries, their hardware): OPEN PEXESO 32.5-68.1, " +
       "PEXESO-H 66.7-279, CTREE 656-934, EPT 704-973; SWDC PEXESO 9.8-13.6, PEXESO-H 130-157, " +
       "CTREE 567-831, EPT 577-829; LWDC PEXESO 456-635, PEXESO-H 3567->7200, CTREE/EPT >7200"

@@ -12,7 +12,7 @@ final case class BlockResult(
     candidates: mutable.ArrayBuffer[(Int, CellKey)],
 )
 
-/** Blocking (paper Algorithm 1) + quick browsing (Section III-C).
+/** Blocking (paper Algorithm 1) with quick browsing (Section III-C).
   *
   * A dual descent over `HG_Q` and `HG_SV` built with the same number of
   * levels: same-level cells are compared with the cell–cell lemmas and
@@ -21,13 +21,14 @@ final case class BlockResult(
   */
 object Block {
 
-  /** Run quick browsing followed by Algorithm 1.
+  /** Run Algorithm 1 with quick browsing folded into the descent.
     *
-    * Quick browsing: a query leaf cell whose key also exists in `HG_SV`
-    * refers to the same space region, so it can never be filtered by
-    * Lemma 3/4 — its query vectors pair with that target cell as
-    * candidates immediately, and the recursive descent skips identical
-    * leaf pairs to avoid redundant work.
+    * Quick browsing: a query leaf cell and the identical `HG_SV` leaf cell
+    * cover the same space region, so Lemmas 3/4 can never filter the pair —
+    * the query vectors in it pair with that target cell as candidates
+    * without the lemma tests. These own-cell candidates come first in
+    * `candidates`, so verification checks each query vector's own cell
+    * before the others.
     *
     * @param hgQ         grid over the mapped query vectors (leaves hold q ids)
     * @param hgS         grid over the mapped repository vectors
@@ -42,35 +43,35 @@ object Block {
   ): BlockResult = {
     require(hgQ.levels == hgS.levels, "HG_Q and HG_SV must share the level count")
     val res = BlockResult(mutable.ArrayBuffer.empty, mutable.ArrayBuffer.empty)
-
-    hgQ.leafCells.foreach { qLeaf =>
-      if (hgS.leaf(qLeaf.key).isDefined) {
-        qLeaf.payloads.foreach(q => res.candidates += ((q, qLeaf.key)))
-      }
-    }
-
-    descend(hgQ.root, hgS.root, queryMapped, tau, res)
+    val others = mutable.ArrayBuffer.empty[(Int, CellKey)]
+    descend(hgQ.root, hgS.root, queryMapped, tau, res, others)
+    res.candidates ++= others
     res
   }
 
+  /** Own-cell candidates go to `res.candidates`, all other candidates to
+    * `others`.
+    */
   private def descend(
       cQ: HierarchicalGrid#GridNode,
       cS: HierarchicalGrid#GridNode,
       queryMapped: Array[Array[Double]],
       tau: Double,
       res: BlockResult,
+      others: mutable.ArrayBuffer[(Int, CellKey)],
   ): Unit = {
     cQ.children.valuesIterator.foreach { cq =>
       cS.children.valuesIterator.foreach { cs =>
         if (cq.isLeaf && cs.isLeaf) {
-          // identical leaf pairs were handled by quick browsing already
-          if (!java.util.Arrays.equals(cq.coords, cs.coords)) {
+          if (java.util.Arrays.equals(cq.coords, cs.coords)) {
+            cq.payloads.foreach(q => res.candidates += ((q, cs.key))) // quick browsing
+          } else {
             cq.payloads.foreach { q =>
               val qm = queryMapped(q)
               if (GridGeometry.vectorCellMatched(cs, qm, tau))
                 res.matching += ((q, cs.key))
               else if (!GridGeometry.vectorCellFiltered(cs, qm, tau))
-                res.candidates += ((q, cs.key))
+                others += ((q, cs.key))
             }
           }
         } else if (GridGeometry.cellCellMatched(cs, cq, tau)) {
@@ -80,7 +81,7 @@ object Block {
             qs.foreach(q => res.matching += ((q, key)))
           }
         } else if (!GridGeometry.cellCellFiltered(cs, cq, tau)) {
-          descend(cq, cs, queryMapped, tau, res)
+          descend(cq, cs, queryMapped, tau, res, others)
         }
       }
     }

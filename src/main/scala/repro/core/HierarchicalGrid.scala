@@ -67,22 +67,6 @@ final class HierarchicalGrid(
     rec(root)
   }
 
-  /** Look up the leaf node for a leaf cell key, if materialized. */
-  def leaf(key: CellKey): Option[GridNode] = {
-    var node = root
-    var lvl = 1
-    while (lvl <= levels) {
-      val shift = levels - lvl
-      val k = ArraySeq.unsafeWrapArray(key.toArray.map(_ >> shift))
-      node.children.get(k) match {
-        case Some(c) => node = c
-        case None    => return None
-      }
-      lvl += 1
-    }
-    Some(node)
-  }
-
   /** A grid cell. `coords` are absolute per-dimension indices at `level`;
     * the root is level 0 with empty coords.
     */

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.embed.VectorOps
 
 /** PCA-based pivot selection (paper Section III-D, following Mao et al. [20]).
@@ -38,8 +39,7 @@ object PivotSelection {
       s
     }
 
-    val components = Array.newBuilder[Array[Double]]
-    val comps = new scala.collection.mutable.ArrayBuffer[Array[Double]]
+    val comps = mutable.ArrayBuffer.empty[Array[Double]]
 
     var c = 0
     var rngState = StartSeed
@@ -72,12 +72,11 @@ object PivotSelection {
       comps += v
       c += 1
     }
-    components ++= comps
 
     // One pivot per component: the vector with the maximum |projection|
-    // (an outlier along that direction). De-duplicate; top up with the
-    // farthest-from-chosen vectors if duplicates collapse the set.
-    val chosen = scala.collection.mutable.LinkedHashSet.empty[Int]
+    // (an outlier along that direction). De-duplicate; top up farthest-first
+    // if k > dim or duplicates collapse the set.
+    val chosen = mutable.LinkedHashSet.empty[Int]
     comps.foreach { u =>
       var best = -1; var bestAbs = -1.0
       var i = 0
@@ -90,8 +89,17 @@ object PivotSelection {
       }
       if (best >= 0) chosen += best
     }
+    PivotSet(farthestFirst(vectors, chosen.toSeq, k).map(vectors(_).clone()))
+  }
+
+  /** Farthest-first selection: extends `start` (distinct indices into
+    * `vectors`) to `k` indices, or to all of `vectors` if fewer, each time
+    * adding the vector whose minimum distance to those already chosen is
+    * largest (the lowest index wins a tie). Returns indices in selection order.
+    */
+  def farthestFirst(vectors: IndexedSeq[Array[Double]], start: Seq[Int], k: Int): Array[Int] = {
+    val chosen = mutable.LinkedHashSet.from(start)
     while (chosen.size < k && chosen.size < vectors.length) {
-      // farthest-first top-up for k > dim or degenerate data
       var best = -1; var bestD = -1.0
       var i = 0
       while (i < vectors.length) {
@@ -102,10 +110,10 @@ object PivotSelection {
         }
         i += 1
       }
-      if (best < 0) return PivotSet(chosen.toArray.map(vectors(_).clone()))
+      if (best < 0) return chosen.toArray
       chosen += best
     }
-    PivotSet(chosen.toArray.map(vectors(_).clone()))
+    chosen.toArray
   }
 
   /** Uniform deterministic sample of up to `maxSample` vectors. */

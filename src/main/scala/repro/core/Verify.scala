@@ -79,9 +79,8 @@ object Verify {
       while (j < sorted.length && sorted(j)._1 == q) j += 1
       val qm = queryMapped(q)
       val qo = queryOriginal(q)
-      // columns this q touched / matched within its candidate cells
+      // columns this q touched within its candidate cells
       val seen = mutable.HashSet.empty[Int]
-      val matchedCols = mutable.HashSet.empty[Int]
       var ci = i
       while (ci < j) {
         val posts = index.postingsIn(sorted(ci)._2)
@@ -92,7 +91,6 @@ object Verify {
           var segEnd = pi
           while (segEnd < posts.length && posts(segEnd).colId == col) segEnd += 1
           val skip = matches.joinable.contains(col) ||
-            matchedCols.contains(col) ||
             matches.contains(col, q) ||
             numQ - mismatch.getOrElse(col, 0) < tAbs // Lemma 7
           if (!skip) {
@@ -110,7 +108,7 @@ object Verify {
               }
               k += 1
             }
-            if (found) { matchedCols += col; matches.add(col, q) }
+            if (found) matches.add(col, q)
           }
           pi = segEnd
         }
@@ -118,7 +116,7 @@ object Verify {
       }
       // q matched nothing of a seen column in any of its cells => mismatch
       seen.foreach { col =>
-        if (!matchedCols.contains(col)) mismatch(col) = mismatch.getOrElse(col, 0) + 1
+        if (!matches.contains(col, q)) mismatch(col) = mismatch.getOrElse(col, 0) + 1
       }
       i = j
     }

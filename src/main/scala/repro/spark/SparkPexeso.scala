@@ -2,8 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{ColumnVectors, PivotSet, Verify}
-import repro.core.HierarchicalGrid.DefaultExtent
+import repro.core.{ColumnVectors, HierarchicalGrid, PivotSet, PivotSpace, Verify}
 import repro.embed.VectorOps
 
 /** Distributed PEXESO as a Catalyst dataflow (DESIGN.md §2.4).
@@ -11,8 +10,9 @@ import repro.embed.VectorOps
   * The block-and-verify strategy mapped onto DataFrame operators:
   *
   *   1. repository vectors: `(col_id, row_id, vec)` rows; pivot mapping is
-  *      a UDF over a broadcast pivot set; each vector keys to its grid
-  *      cell at one level (`2^level` cells per pivot dimension);
+  *      a UDF over a broadcast pivot set; each vector keys to its
+  *      `HierarchicalGrid.coordsAt` cell at one level (`2^level` cells per
+  *      pivot dimension, `level ≥ 1`);
   *   2. '''blocking''' = an equi-join on the cell id between the target
   *      vectors and the query vectors exploded to every cell overlapping
   *      their square query region `SQR(q', τ)` (Lemma 3 as join pruning);
@@ -40,29 +40,6 @@ object SparkPexeso {
     query.toSeq.zipWithIndex.map { case (v, i) => (i, v.toSeq) }.toDF("q_id", "vec")
   }
 
-  /** Cell id of a mapped vector at `level` (2^level cells per dim) over the
-    * core grid's extent. Target and query coordinates are clamped into it
-    * alike, so a coordinate past it cannot lose a match.
-    */
-  private def cellOf(mapped: Seq[Double], level: Int): String = {
-    val w = DefaultExtent / (1 << level)
-    mapped.map(x => math.min((1 << level) - 1, math.max(0, (x / w).toInt))).mkString(",")
-  }
-
-  /** All cells intersecting `SQR(mapped, tau)` at `level`. */
-  private def cellsOverlapping(mapped: Seq[Double], tau: Double, level: Int): Seq[String] = {
-    val cells = 1 << level
-    val w = DefaultExtent / cells
-    val ranges = mapped.map { x =>
-      val lo = math.min(cells - 1, math.max(0, ((x - tau) / w).toInt))
-      val hi = math.min(cells - 1, math.max(0, ((x + tau) / w).toInt))
-      lo to hi
-    }
-    ranges.foldLeft(Seq(Seq.empty[Int])) { (acc, r) =>
-      acc.flatMap(prefix => r.map(prefix :+ _))
-    }.map(_.mkString(","))
-  }
-
   /** Per-column joinability counts: `(col_id, matched)` where `matched` is
     * the number of distinct query vectors with ≥1 match in the column.
     */
@@ -75,12 +52,24 @@ object SparkPexeso {
   ): DataFrame = {
     val spark = lakeDf.sparkSession
     val bPivots = spark.sparkContext.broadcast(pivots)
+    // the core grid's cells at `level`; coordinates past its extent clamp
+    // into the border cells alike for targets and queries, so none loses a match
+    val grid = new HierarchicalGrid(pivots.numPivots, level)
+    def cellId(coords: collection.Seq[Int]): String = coords.mkString(",")
 
     val mapVec = udf { (v: Seq[Double]) => bPivots.value.map(v.toArray).toSeq }
-    val cellU = udf { (m: Seq[Double]) => cellOf(m, level) }
-    val qCellsU = udf { (m: Seq[Double]) => cellsOverlapping(m, tau, level) }
+    val cellU = udf { (m: Seq[Double]) => cellId(grid.coordsAt(m.toArray, level)) }
+    // every cell intersecting SQR(m, τ): per dimension, the cells from
+    // that of m − τ to that of m + τ
+    val qCellsU = udf { (m: Seq[Double]) =>
+      val lo = grid.coordsAt(m.map(_ - tau).toArray, level)
+      val hi = grid.coordsAt(m.map(_ + tau).toArray, level)
+      lo.indices.foldLeft(Seq(Seq.empty[Int])) { (acc, i) =>
+        acc.flatMap(prefix => (lo(i) to hi(i)).map(prefix :+ _))
+      }.map(cellId)
+    }
     val pivotFiltered = udf { (qm: Seq[Double], xm: Seq[Double]) =>
-      repro.core.PivotSpace.filteredByPivots(qm.toArray, xm.toArray, tau)
+      PivotSpace.filteredByPivots(qm.toArray, xm.toArray, tau)
     }
     val distLe = udf { (a: Seq[Double], b: Seq[Double]) =>
       VectorOps.euclidean(a.toArray, b.toArray) <= tau

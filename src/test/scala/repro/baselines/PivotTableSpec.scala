@@ -11,9 +11,9 @@ class PivotTableSpec extends AnyFunSuite {
     val rng = new Random(1)
     val cols = TestData.clusteredColumns(rng, 4, 8, 6)
     val pt = PivotTable.build(cols, numPivots = 3)
-    pt.entries.take(10).foreach { e =>
-      e.pivotDists.indices.foreach { i =>
-        assert(math.abs(e.pivotDists(i) - VectorOps.euclidean(pt.pivots(i), e.vector)) < 1e-12)
+    pt.postings.take(10).foreach { p =>
+      p.mapped.indices.foreach { i =>
+        assert(math.abs(p.mapped(i) - VectorOps.euclidean(pt.pivots.pivots(i), p.original)) < 1e-12)
       }
     }
   }
@@ -22,9 +22,10 @@ class PivotTableSpec extends AnyFunSuite {
     val rng = new Random(2)
     val cols = TestData.clusteredColumns(rng, 6, 10, 6)
     val pt = PivotTable.build(cols, numPivots = 4)
-    assert(pt.pivots.length == 4)
-    for (i <- pt.pivots.indices; j <- (i + 1) until pt.pivots.length)
-      assert(VectorOps.euclidean(pt.pivots(i), pt.pivots(j)) > 1e-9)
+    val ps = pt.pivots.pivots
+    assert(ps.length == 4)
+    for (i <- ps.indices; j <- (i + 1) until ps.length)
+      assert(VectorOps.euclidean(ps(i), ps(j)) > 1e-9)
   }
 
   test("EPT search equals brute-force joinable search") {
@@ -51,7 +52,7 @@ class PivotTableSpec extends AnyFunSuite {
     val rng = new Random(3)
     val cols = TestData.clusteredColumns(rng, 1, 3, 4)
     val pt = PivotTable.build(cols, numPivots = 10)
-    assert(pt.pivots.length == 3)
+    assert(pt.pivots.numPivots == 3)
   }
 
   test("empty repository rejected") {

@@ -12,14 +12,18 @@ import repro.embed.VectorOps
   */
 class BlockSpec extends AnyFunSuite {
 
-  private def instance(seed: Long, levels: Int, numPivots: Int) = {
+  /** `withPivots` appends the pivots to the queries: a pivot maps to 0 in
+    * its own dimension, where Lemma 6 can match the cells that hold it.
+    */
+  private def instance(seed: Long, levels: Int, numPivots: Int, withPivots: Boolean = false) = {
     val rng = new Random(seed)
     val dim = 6
     val targets = Array.fill(80)(TestData.unitVec(rng, dim))
-    val queries = Array.fill(15)(
+    val drawn = Array.fill(15)(
       if (rng.nextBoolean()) TestData.near(rng, targets(rng.nextInt(targets.length)), 0.1)
       else TestData.unitVec(rng, dim))
     val pivots = PivotSelection.pcaPivots(targets.toIndexedSeq, numPivots)
+    val queries = if (withPivots) drawn ++ pivots.pivots else drawn
     val hgS = new HierarchicalGrid(numPivots, levels)
     val targetLeaf = targets.map(t => hgS.insert(pivots.map(t), -1).key)
     val hgQ = new HierarchicalGrid(numPivots, levels)
@@ -68,10 +72,30 @@ class BlockSpec extends AnyFunSuite {
   }
 
   test("no duplicate (q, cell) pairs are produced") {
+    def distinctPairs(res: BlockResult): Boolean = {
+      val all = (res.matching ++ res.candidates).map { case (q, c) => (q, c.toSeq) }
+      all.size == all.toSet.size
+    }
     val (_, _, _, hgS, hgQ, _, queryMapped) = instance(9, 3, 2)
-    val res = Block.run(hgQ, hgS, queryMapped, 0.4)
-    val all = (res.matching ++ res.candidates).map { case (q, c) => (q, c.toSeq) }
-    assert(all.size == all.toSet.size, "duplicate pairs")
+    assert(distinctPairs(Block.run(hgQ, hgS, queryMapped, 0.4)), "duplicate pairs")
+    // with the pivots among the queries, Lemma 6 matches an ancestor of a
+    // query vector's own leaf cell: that pair must be matching only
+    for (seed <- 1L to 5L) {
+      val (_, _, _, hgS, hgQ, _, queryMapped) = instance(seed, 4, 2, withPivots = true)
+      val res = Block.run(hgQ, hgS, queryMapped, 0.6)
+      assert(res.matching.nonEmpty, s"seed=$seed: Lemma 6 never fired")
+      assert(distinctPairs(res), s"seed=$seed: duplicate pairs")
+    }
+  }
+
+  test("own-cell candidates come before all other candidates") {
+    for (seed <- 1L to 3L) {
+      val (_, _, _, hgS, hgQ, _, queryMapped) = instance(seed, 3, 2)
+      val res = Block.run(hgQ, hgS, queryMapped, 0.3)
+      val own = res.candidates.map { case (q, c) => c.toSeq == hgQ.coordsAt(queryMapped(q), 3).toSeq }
+      assert(own.contains(true) && own.contains(false), s"seed=$seed")
+      assert(own == own.sortBy(!_), s"seed=$seed: an own-cell candidate follows another candidate")
+    }
   }
 
   test("larger tau never produces fewer covered pairs") {

@@ -56,15 +56,6 @@ class HierarchicalGridSpec extends AnyFunSuite {
     assert(a.payloads.toSeq == Seq(0, 1))
   }
 
-  test("leaf lookup by key finds the materialized leaf") {
-    val g = new HierarchicalGrid(2, 3)
-    val leaf = g.insert(Array(0.3, 1.7), 5)
-    val found = g.leaf(leaf.key)
-    assert(found.isDefined)
-    assert(found.get eq leaf)
-    assert(g.leaf(ArraySeq(7, 7)).isEmpty)
-  }
-
   test("node box bounds contain the inserted vector") {
     val rng = new Random(1)
     val g = new HierarchicalGrid(3, 4)

@@ -50,6 +50,10 @@ class SparkPexesoSpec extends SparkSpec {
       assert(SparkPexeso.search(spark, cols, query, pivots, 0.4, 0.5, level) == want,
         s"level=$level")
     }
+    // the cells are the core grid's, which has at least one level
+    intercept[IllegalArgumentException] {
+      SparkPexeso.search(spark, cols, query, pivots, 0.4, 0.5, level = 0)
+    }
   }
 
   test("lakeToDF shape") {
